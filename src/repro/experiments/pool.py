@@ -18,8 +18,8 @@ this module pays each exactly once:
   the content fingerprint; repeated sweeps over the same topology (and
   every worker's :class:`~repro.graph.forest_cache.ForestCache`) reuse
   one attachment.  Tasks carry a
-  :class:`~repro.graph.core.SharedGraphDescriptor` — a few dozen bytes
-  — instead of the graph (enforced by lint rule RR010).
+  :class:`~repro.utils.segment.Descriptor` — a hundred bytes — instead
+  of the graph (enforced by lint rule RR010).
 * **Grid chunking.**  :func:`plan_grid_chunks` splits the
   (source × receiver-set) grid: contiguous source runs while sources
   outnumber workers, per-source receiver-row slices otherwise — so the
@@ -59,14 +59,15 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import faults, obs
 from repro.exceptions import ExperimentError
-from repro.graph.core import Graph, SharedGraphDescriptor, SharedGraphHandle
+from repro.graph.core import Graph
 from repro.graph.forest_cache import graph_fingerprint
+from repro.utils import segment
 
 __all__ = [
     "GridChunk",
@@ -219,14 +220,14 @@ class SharedGraphRegistry:
                 f"max_segments must be >= 1, got {max_segments}"
             )
         self._max_segments = int(max_segments)
-        self._handles: "OrderedDict[str, SharedGraphHandle]" = OrderedDict()
+        self._handles: "OrderedDict[str, segment.Handle]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._handles)
 
-    def descriptor(self, graph: Graph) -> SharedGraphDescriptor:
+    def descriptor(self, graph: Graph) -> segment.Descriptor:
         """The (possibly cached) descriptor publishing ``graph``."""
         fingerprint = graph_fingerprint(graph)
         with self._lock:
@@ -235,7 +236,7 @@ class SharedGraphRegistry:
                 self._handles.move_to_end(fingerprint)
                 return handle.descriptor
         handle = graph.to_shared()
-        evicted: List[SharedGraphHandle] = []
+        evicted: List[segment.Handle] = []
         with self._lock:
             raced = self._handles.get(fingerprint)
             if raced is not None:
@@ -351,22 +352,6 @@ atexit.register(shutdown_pool)
 # Worker-side task
 # ---------------------------------------------------------------------------
 
-#: Worker-side attachments: segment name -> zero-copy Graph view.  One
-#: entry per distinct segment this worker has served; bounded in
-#: practice by the parent registry's LRU (segment names are unique, so
-#: a re-published topology gets a fresh entry and the stale mapping
-#: dies with its views).
-_ATTACHED: Dict[str, Graph] = {}
-
-
-def _attached_graph(descriptor: SharedGraphDescriptor) -> Graph:
-    graph = _ATTACHED.get(descriptor.name)
-    if graph is None:
-        graph = Graph.from_shared(descriptor)
-        _ATTACHED[descriptor.name] = graph
-    return graph
-
-
 def _chunk_counts(
     fn: Callable[..., Tuple],
     graph: Graph,
@@ -384,7 +369,7 @@ def _chunk_counts(
 
 def _worker_chunk(
     fn: Callable[..., Tuple],
-    descriptor: SharedGraphDescriptor,
+    descriptor: segment.Descriptor,
     chunk: GridChunk,
     child_seeds: Sequence,
     task_args: Tuple,
@@ -399,7 +384,7 @@ def _worker_chunk(
     task-start snapshot: persistent workers serve many tasks, and
     re-sending cumulative totals would double-count in the parent.
     """
-    graph = _attached_graph(descriptor)
+    graph = segment.cached_attach(descriptor, Graph.from_shared)
     registry = obs.default_registry()
     before = registry.to_dict()
     collector = None

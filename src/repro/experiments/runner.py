@@ -45,7 +45,7 @@ never cached.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from repro.exceptions import ExperimentError
 from repro.graph.core import Graph
 from repro.graph.distance_store import (
     DistanceStore,
-    DistanceStoreDescriptor,
     attach_distance_store,
 )
 from repro.graph.forest_cache import default_forest_cache
@@ -71,6 +70,7 @@ from repro.multicast.tree import MulticastTreeCounter
 from repro.experiments.config import MonteCarloConfig
 from repro.experiments.pool import resolve_workers, run_sweep_chunks
 from repro.experiments.results import SweepMeasurement
+from repro.utils import segment
 from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = ["measure_sweep", "measure_single_source_sweep"]
@@ -214,23 +214,14 @@ def _count_samples(
     return links_list, totals_list
 
 
-#: Process-local distance-store attachments, keyed by (path, generation).
-#: Workers receive a :class:`DistanceStoreDescriptor` per task (the mmap
-#: itself never crosses the process boundary) and re-attach once here.
-_STORE_CACHE: Dict[Tuple[str, int], DistanceStore] = {}
-
-
 def _resolve_store(
-    store: Optional[Union[DistanceStore, DistanceStoreDescriptor]],
+    store: Optional[Union[DistanceStore, segment.Descriptor]],
 ) -> Optional[DistanceStore]:
+    # Workers receive the store's descriptor per task (the mmap itself
+    # never crosses the process boundary) and re-attach once per process.
     if store is None or isinstance(store, DistanceStore):
         return store
-    key = (store.path, store.generation)
-    attached = _STORE_CACHE.get(key)
-    if attached is None:
-        attached = attach_distance_store(store)
-        _STORE_CACHE[key] = attached
-    return attached
+    return segment.cached_attach(store, attach_distance_store)
 
 
 def _source_forest(
@@ -261,7 +252,7 @@ def _source_counts(
     use_cache: bool,
     algorithm: str = "spt",
     distance_store: Optional[
-        Union[DistanceStore, DistanceStoreDescriptor]
+        Union[DistanceStore, segment.Descriptor]
     ] = None,
     row_slice: Optional[Tuple[int, int]] = None,
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
@@ -337,7 +328,7 @@ def _source_partials(
     use_cache: bool,
     algorithm: str = "spt",
     distance_store: Optional[
-        Union[DistanceStore, DistanceStoreDescriptor]
+        Union[DistanceStore, segment.Descriptor]
     ] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-size partial sums contributed by one source (serial path)."""
@@ -360,7 +351,7 @@ def measure_sweep(
     engine: str = "batched",
     use_cache: bool = True,
     distance_store: Optional[
-        Union[DistanceStore, DistanceStoreDescriptor]
+        Union[DistanceStore, segment.Descriptor]
     ] = None,
     algorithm: str = "spt",
 ) -> SweepMeasurement:

@@ -4,7 +4,6 @@ from repro.graph.builders import GraphBuilder, from_networkx, to_networkx
 from repro.graph.core import Graph
 from repro.graph.distance_store import (
     DistanceStore,
-    DistanceStoreDescriptor,
     attach_distance_store,
     build_distance_store,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "DistanceStore",
-    "DistanceStoreDescriptor",
     "attach_distance_store",
     "build_distance_store",
     "ForestCache",

@@ -14,81 +14,15 @@ profiles computed from it can be cached safely by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import GraphError, NodeError
+from repro.utils import segment
 
-__all__ = ["Graph", "SharedGraphDescriptor", "SharedGraphHandle"]
-
-
-@dataclass(frozen=True)
-class SharedGraphDescriptor:
-    """A picklable token naming a graph published via :meth:`Graph.to_shared`.
-
-    Carries everything a worker process needs to reconstruct zero-copy
-    views over the creator's CSR arrays: the shared-memory segment name,
-    the array lengths, and the content fingerprint — so attachments can
-    prime the :mod:`repro.graph.forest_cache` key without re-paying the
-    O(E) hash.  A descriptor is a few dozen bytes however large the
-    graph is; *this* is what crosses a ``submit()`` boundary, never the
-    graph itself (lint rule RR010).
-    """
-
-    name: str
-    num_nodes: int
-    num_indices: int
-    fingerprint: str
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the segment payload (int64 indptr + int32 indices)."""
-        return 8 * (self.num_nodes + 1) + 4 * self.num_indices
-
-
-class SharedGraphHandle:
-    """Creator-side ownership of one shared CSR segment.
-
-    Lifetime is explicit: the creating process must eventually call
-    :meth:`unlink` (or :meth:`release`) exactly once or the segment
-    outlives every process that mapped it.  Attached processes never
-    unlink; their mapping dies with their last view (see
-    :meth:`Graph.from_shared`).
-    """
-
-    __slots__ = ("_shm", "descriptor", "_unlinked")
-
-    def __init__(self, shm, descriptor: SharedGraphDescriptor) -> None:
-        self._shm = shm
-        self.descriptor = descriptor
-        self._unlinked = False
-
-    def unlink(self) -> None:
-        """Free the segment system-wide (idempotent)."""
-        if not self._unlinked:
-            self._unlinked = True
-            self._shm.unlink()
-
-    def release(self) -> None:
-        """Unlink and drop this process's mapping, tolerating repeats."""
-        try:
-            self.unlink()
-        except FileNotFoundError:  # pragma: no cover - external unlink
-            pass
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a live view pins the map
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedGraphHandle(name={self.descriptor.name!r}, "
-            f"nbytes={self.descriptor.nbytes}, unlinked={self._unlinked})"
-        )
-
-
+__all__ = ["Graph"]
 
 
 class Graph:
@@ -117,7 +51,7 @@ class Graph:
     run in ``O(log degree)``.
     """
 
-    __slots__ = ("_num_nodes", "_indptr", "_indices", "_shm")
+    __slots__ = ("_num_nodes", "_indptr", "_indices", "_fingerprint")
 
     def __init__(
         self,
@@ -131,9 +65,7 @@ class Graph:
         self._indices = np.ascontiguousarray(indices, dtype=np.int32)
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
-        # Set only by from_shared(): keeps an attached segment mapped for
-        # exactly as long as the views over it are reachable.
-        self._shm = None
+        self._fingerprint: Optional[str] = None
         if check:
             self._validate()
 
@@ -225,69 +157,33 @@ class Graph:
     # Shared-memory publication (zero-copy cross-process views)
     # ------------------------------------------------------------------
 
-    def to_shared(self) -> SharedGraphHandle:
-        """Publish the CSR arrays into a shared-memory segment (one copy).
+    def to_shared(self) -> segment.Handle:
+        """Publish ``indptr``/``indices`` into a shared segment (one copy).
 
-        Layout: ``indptr`` (int64) at offset 0, ``indices`` (int32)
-        immediately after — the same flat arrays this object holds, so
-        :meth:`from_shared` reconstructs byte-identical adjacency.  The
-        returned handle owns the segment: ship ``handle.descriptor`` to
-        workers and call ``handle.unlink()`` when the topology retires
-        (segments outlive processes otherwise).  Sweeps should go
-        through :class:`repro.experiments.pool.SharedGraphRegistry`,
-        which deduplicates publication by content fingerprint.
+        The returned :mod:`repro.utils.segment` handle owns it: ship
+        ``handle.descriptor`` to workers and ``unlink()`` it when the
+        topology retires.  Sweeps should go through
+        :class:`repro.experiments.pool.SharedGraphRegistry`, which
+        deduplicates publication by content fingerprint.
         """
-        from repro.graph.forest_cache import graph_fingerprint
-        from repro.utils.shm import create_segment
-
-        split = self._indptr.nbytes
-        total = split + self._indices.nbytes
-        shm = create_segment(total)
-        np.frombuffer(shm.buf, dtype=np.int64, count=self._num_nodes + 1)[
-            :
-        ] = self._indptr
-        np.frombuffer(
-            shm.buf,
-            dtype=np.int32,
-            count=self._indices.shape[0],
-            offset=split,
-        )[:] = self._indices
-        descriptor = SharedGraphDescriptor(
-            name=shm.name,
-            num_nodes=self._num_nodes,
-            num_indices=int(self._indices.shape[0]),
-            fingerprint=graph_fingerprint(self),
+        return segment.publish(
+            {"indptr": self._indptr, "indices": self._indices},
+            fingerprint=self.fingerprint,
         )
-        return SharedGraphHandle(shm, descriptor)
 
     @classmethod
-    def from_shared(cls, descriptor: SharedGraphDescriptor) -> "Graph":
+    def from_shared(cls, descriptor: segment.Descriptor) -> "Graph":
         """Attach zero-copy, read-only views over a published segment.
 
-        The attached graph keeps the mapping alive for its own lifetime
-        (the ``SharedMemory`` object rides on the instance), skips CSR
-        validation (the creator's graph already passed it), and primes
-        the fingerprint memo from the descriptor so forest-cache keys
-        match the creator's without re-hashing.  Views are write-
-        protected like every graph's; the segment itself stays writable
-        only through the creator's handle.
+        The views keep the mapping alive while reachable.  Validation is
+        skipped (the creator's graph passed it) and the fingerprint comes
+        from the descriptor, so forest-cache keys match the creator's
+        without re-hashing.
         """
-        from repro.graph.forest_cache import prime_fingerprint
-        from repro.utils.shm import attach_segment
-
-        shm = attach_segment(descriptor.name)
-        indptr = np.frombuffer(
-            shm.buf, dtype=np.int64, count=descriptor.num_nodes + 1
-        )
-        indices = np.frombuffer(
-            shm.buf,
-            dtype=np.int32,
-            count=descriptor.num_indices,
-            offset=indptr.nbytes,
-        )
-        graph = cls(descriptor.num_nodes, indptr, indices, check=False)
-        graph._shm = shm
-        prime_fingerprint(graph, descriptor.fingerprint)
+        arrays = segment.attach(descriptor).arrays
+        indptr, indices = arrays["indptr"], arrays["indices"]
+        graph = cls(indptr.shape[0] - 1, indptr, indices, check=False)
+        graph._fingerprint = descriptor.fingerprint
         return graph
 
     # ------------------------------------------------------------------
@@ -298,6 +194,21 @@ class Graph:
     def num_nodes(self) -> int:
         """Number of nodes."""
         return self._num_nodes
+
+    @property
+    def fingerprint(self) -> str:
+        """Stable content fingerprint: SHA-1 hex over the CSR arrays.
+
+        Computed once per graph object (the graph is immutable) and
+        identical across processes for identical content.
+        """
+        if self._fingerprint is None:
+            digest = hashlib.sha1()
+            digest.update(int(self._num_nodes).to_bytes(8, "little"))
+            digest.update(self._indptr.tobytes())
+            digest.update(self._indices.tobytes())
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     @property
     def num_edges(self) -> int:

@@ -15,23 +15,20 @@ fleet workers — map them zero-copy:
   straight into the mapped file.  With ``num_workers > 1`` the chunks
   fan out over the persistent worker pool from
   :mod:`repro.experiments.pool`; the graph crosses the process boundary
-  as a :class:`~repro.graph.core.SharedGraphDescriptor` (never pickled
-  — lint rule RR010) and each worker writes its own disjoint row slice.
+  as a segment descriptor (never pickled — lint rule RR010) and each
+  worker writes its own disjoint row slice.
 * **Attach zero-copy.**  :func:`attach_distance_store` maps the file
   read-only; ``store.distances`` / ``store.parents`` are views over the
   page cache, so forty attached processes cost one copy of the rows.
-* **Same lifecycle as the fleet table store.**  The file header carries
-  a ``generation``; attaching through a stale descriptor raises, and
-  reload rides on POSIX unlink semantics — attached stores keep a valid
+* **One segment format.**  The file is a file-backed
+  :mod:`repro.utils.segment` holding int32 ``sources``, ``dist`` and
+  (optionally) ``parent`` rows — the same layout, commit protocol and
+  generation check as shared CSR graphs and the fleet's table store, so
+  a killed build never leaves a torn file at ``path``.  Attach also
+  checks, per row, that the source sits at distance 0 with no parent.
+  Reload rides on POSIX unlink semantics — attached stores keep a valid
   mapping after the creator unlinks, new attachments can only land on
   the new generation's file.
-
-File layout (all offsets 8-byte aligned)::
-
-    [u64 header_len][header JSON, utf-8][pad]
-    sources  int32[num_sources]
-    dist     int32[num_sources, num_nodes]
-    parent   int32[num_sources, num_nodes]     (when has_parents)
 
 Because rows store *parents* too, a consumer gets the full
 :class:`~repro.graph.paths.ShortestPathForest` back (tie-break
@@ -42,91 +39,60 @@ the graph again.
 
 from __future__ import annotations
 
-import json
-import mmap
-import os
-import struct
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
+from repro import faults
 from repro.exceptions import GraphError
 from repro.graph.core import Graph
 from repro.graph.forest_cache import graph_fingerprint
 from repro.graph.paths import ShortestPathForest, bfs_from_many
+from repro.utils import segment
 from repro.utils.rng import RandomState, ensure_rng
 
 __all__ = [
     "DistanceStore",
-    "DistanceStoreDescriptor",
     "attach_distance_store",
     "build_distance_store",
 ]
 
-_MAGIC = "repro-distance-store"
-_VERSION = 1
-_HEADER_LEN = struct.Struct("<Q")
+#: ``meta["kind"]`` of a distance-store segment.
+_KIND = "distance-store"
 
 #: Sources per BFS batch during a build — bounds the writer's transient
 #: working set at ``2 * chunk * num_nodes`` int32 regardless of how
 #: many rows the store holds.
 _BUILD_CHUNK_SOURCES = 8
 
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-@dataclass(frozen=True)
-class DistanceStoreDescriptor:
-    """A picklable token naming one distance-store generation.
-
-    This is what crosses process boundaries (a hundred bytes, never the
-    rows): workers re-attach from it, and attaching through a stale
-    generation raises — the same protocol as
-    :class:`repro.serve.fleet.store.TableStoreDescriptor`.
-    """
-
-    path: str
-    generation: int
-    num_nodes: int
-    num_sources: int
-    has_parents: bool
-    fingerprint: str
-    nbytes: int
+_FP_WRITE_ROWS = faults.point(
+    "distance_store.write_rows",
+    "Before a build computes and writes one chunk of rows; a 'raise' "
+    "kills the build mid-way — no file may appear at the store's path "
+    "and an earlier generation there must stay intact.",
+)
 
 
 class DistanceStore:
     """An attached, read-only view over a distance-store file.
 
-    Keep the instance referenced while any row view escapes; `close()`
-    drops the mapping (best-effort while views are live).
+    Row views handed out pin the mapping themselves; `close()` drops
+    this instance's views, and the file is unmapped once the last one
+    dies.
     """
 
-    def __init__(
-        self,
-        path: str,
-        header: dict,
-        mapping: mmap.mmap,
-        sources: np.ndarray,
-        dist: np.ndarray,
-        parent: Optional[np.ndarray],
-    ) -> None:
-        self._path = path
-        self._header = header
-        self._mm: Optional[mmap.mmap] = mapping
-        self._sources = sources
-        self._dist = dist
-        self._parent = parent
-        self._row_of = {int(s): i for i, s in enumerate(sources)}
-        self._complete = int(header["num_sources"]) == int(
-            header["num_nodes"]
-        ) and bool(
+    def __init__(self, attached: segment.Segment) -> None:
+        self._descriptor = attached.descriptor
+        self._sources = attached.arrays["sources"]
+        self._dist = attached.arrays["dist"]
+        self._parent = attached.arrays.get("parent")
+        self._num_nodes = int(self._dist.shape[1])
+        self._has_parents = self._parent is not None
+        self._row_of = {int(s): i for i, s in enumerate(self._sources)}
+        self._complete = self.num_sources == self._num_nodes and bool(
             np.array_equal(
-                sources,
-                np.arange(int(header["num_nodes"]), dtype=np.int32),
+                self._sources, np.arange(self._num_nodes, dtype=np.int32)
             )
         )
 
@@ -134,45 +100,37 @@ class DistanceStore:
     @property
     def path(self) -> str:
         """The backing file's path."""
-        return self._path
+        return self._descriptor.name
 
     @property
     def generation(self) -> int:
         """Store generation, as written by the builder."""
-        return int(self._header["generation"])
+        return self._descriptor.generation
 
     @property
     def num_nodes(self) -> int:
         """Columns per row (the graph's node count)."""
-        return int(self._header["num_nodes"])
+        return self._num_nodes
 
     @property
     def num_sources(self) -> int:
         """Rows in the store."""
-        return int(self._header["num_sources"])
+        return int(self._sources.shape[0])
 
     @property
     def fingerprint(self) -> str:
         """Content fingerprint of the graph the rows were built from."""
-        return str(self._header["fingerprint"])
+        return self._descriptor.fingerprint
 
     @property
     def has_parents(self) -> bool:
         """Whether parent rows were built alongside distances."""
-        return bool(self._header["has_parents"])
+        return self._has_parents
 
     @property
-    def descriptor(self) -> DistanceStoreDescriptor:
+    def descriptor(self) -> segment.Descriptor:
         """The picklable token a worker re-attaches from."""
-        return DistanceStoreDescriptor(
-            path=self._path,
-            generation=self.generation,
-            num_nodes=self.num_nodes,
-            num_sources=self.num_sources,
-            has_parents=self.has_parents,
-            fingerprint=self.fingerprint,
-            nbytes=int(self._header["nbytes"]),
-        )
+        return self._descriptor
 
     # -- rows ---------------------------------------------------------
     @property
@@ -206,7 +164,7 @@ class DistanceStore:
         except KeyError:
             raise GraphError(
                 f"source {source} has no row in distance store "
-                f"{self._path!r} ({self.num_sources} rows)"
+                f"{self.path!r} ({self.num_sources} rows)"
             ) from None
 
     def distance_row(self, source: int) -> np.ndarray:
@@ -222,7 +180,7 @@ class DistanceStore:
         """
         if self._parent is None:
             raise GraphError(
-                f"distance store {self._path!r} was built without parent "
+                f"distance store {self.path!r} was built without parent "
                 "rows; rebuild with include_parents=True"
             )
         i = self.row_index(source)
@@ -249,33 +207,26 @@ class DistanceStore:
         """Raise unless ``graph`` is the graph the rows were built from."""
         if graph.num_nodes != self.num_nodes:
             raise GraphError(
-                f"distance store {self._path!r} was built for "
+                f"distance store {self.path!r} was built for "
                 f"{self.num_nodes} nodes, graph has {graph.num_nodes}"
             )
         actual = graph_fingerprint(graph)
         if actual != self.fingerprint:
             raise GraphError(
-                f"distance store {self._path!r} was built for graph "
+                f"distance store {self.path!r} was built for graph "
                 f"{self.fingerprint[:12]}…, got {actual[:12]}…"
             )
 
     def close(self) -> None:
-        """Drop this process's mapping (idempotent, best-effort).
+        """Drop this process's views (idempotent).
 
-        Row views handed out earlier keep the underlying buffer alive —
-        the mapping itself then survives until their last reference
-        dies, exactly like a detached shared-memory view.
+        The mapping is unmapped once the last view over it dies — row
+        views handed out earlier keep it alive until then.
         """
         self._dist = None
         self._parent = None
         self._sources = np.array(self._sources, dtype=np.int32)
         self._row_of = {}
-        if self._mm is not None:
-            mapping, self._mm = self._mm, None
-            try:
-                mapping.close()
-            except BufferError:  # pragma: no cover - escaped views pin it
-                pass
 
     def unlink(self) -> None:
         """Delete the backing file (idempotent).
@@ -283,102 +234,36 @@ class DistanceStore:
         Attached stores — this one included — keep reading through
         their existing mappings; only *new* attachments fail.
         """
-        try:
-            os.unlink(self._path)
-        except FileNotFoundError:
-            pass
+        segment.Handle(self._descriptor).unlink()
 
     def __repr__(self) -> str:
         return (
-            f"DistanceStore(path={self._path!r}, "
+            f"DistanceStore(path={self.path!r}, "
             f"generation={self.generation}, rows={self.num_sources}, "
             f"num_nodes={self.num_nodes}, parents={self.has_parents})"
         )
 
 
-def _layout(header_len: int, num_sources: int, num_nodes: int, has_parents: bool):
-    """Byte offsets of (sources, dist, parent) and the total file size."""
-    off_sources = _align8(_HEADER_LEN.size + header_len)
-    off_dist = _align8(off_sources + 4 * num_sources)
-    row_bytes = 4 * num_sources * num_nodes
-    off_parent = _align8(off_dist + row_bytes)
-    total = off_parent + (row_bytes if has_parents else 0)
-    return off_sources, off_dist, off_parent, total
-
-
-# Worker-side attachment cache: shared-segment name -> Graph view.  One
-# entry per distinct published topology this worker has built rows for.
-_WORKER_GRAPHS: dict = {}
-
-
-def _attached_build_graph(descriptor) -> Graph:
-    graph = _WORKER_GRAPHS.get(descriptor.name)
-    if graph is None:
-        graph = Graph.from_shared(descriptor)
-        _WORKER_GRAPHS[descriptor.name] = graph
-    return graph
-
-
 def _build_rows_task(
-    graph_descriptor,
-    path: str,
-    num_nodes: int,
-    off_dist: int,
-    off_parent: int,
-    include_parents: bool,
-    row_lo: int,
-    sources_chunk: Sequence[int],
+    graph_descriptor: segment.Descriptor, path: str, row_lo: int, sources_chunk
 ) -> int:
     """Worker entry: BFS a chunk of sources and write its row slice."""
-    graph = _attached_build_graph(graph_descriptor)
-    return _write_rows(
-        graph,
-        path,
-        num_nodes,
-        off_dist,
-        off_parent,
-        include_parents,
-        row_lo,
-        sources_chunk,
-    )
+    graph = segment.cached_attach(graph_descriptor, Graph.from_shared)
+    return _write_rows(graph, segment.fill_views(path), row_lo, sources_chunk)
 
 
 def _write_rows(
-    graph: Graph,
-    path: str,
-    num_nodes: int,
-    off_dist: int,
-    off_parent: int,
-    include_parents: bool,
-    row_lo: int,
-    sources_chunk: Sequence[int],
+    graph: Graph, rows: Dict[str, np.ndarray], row_lo: int, sources_chunk
 ) -> int:
-    rows = len(sources_chunk)
+    _FP_WRITE_ROWS.fire(row_lo=row_lo, rows=len(sources_chunk))
     dist, parent = bfs_from_many(
-        graph, sources_chunk, packed=num_nodes >= 1 << 16
+        graph, sources_chunk, packed=graph.num_nodes >= 1 << 16
     )
-    out = np.memmap(
-        path,
-        dtype=np.int32,
-        mode="r+",
-        offset=off_dist + 4 * row_lo * num_nodes,
-        shape=(rows, num_nodes),
-    )
-    out[:] = dist
-    out.flush()
-    del out
-    if include_parents:
-        out = np.memmap(
-            path,
-            dtype=np.int32,
-            mode="r+",
-            offset=off_parent + 4 * row_lo * num_nodes,
-            shape=(rows, num_nodes),
-        )
-        out[:] = parent
-        out.flush()
-        del out
-    return rows
+    row_hi = row_lo + len(sources_chunk)
+    rows["dist"][row_lo:row_hi] = dist
+    if "parent" in rows:
+        rows["parent"][row_lo:row_hi] = parent
+    return len(sources_chunk)
 
 
 def build_distance_store(
@@ -398,7 +283,9 @@ def build_distance_store(
     graph:
         The graph to BFS.
     path:
-        File to create (overwritten if present).
+        File to create.  It appears (replacing any earlier file) only
+        once every row is written; a failed build leaves ``path`` as it
+        was.
     sources:
         Row sources, unique, in row order.  Defaults to *all* nodes —
         only sensible for small graphs; million-node stores should pass
@@ -435,81 +322,65 @@ def build_distance_store(
     if chunk_sources < 1:
         raise GraphError(f"chunk_sources must be >= 1, got {chunk_sources}")
 
-    header = {
-        "magic": _MAGIC,
-        "version": _VERSION,
-        "generation": int(generation),
-        "num_nodes": int(graph.num_nodes),
-        "num_sources": int(src.size),
-        "has_parents": bool(include_parents),
-        "fingerprint": graph_fingerprint(graph),
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    off_sources, off_dist, off_parent, total = _layout(
-        len(header_bytes), src.size, graph.num_nodes, include_parents
-    )
-    header["nbytes"] = total
-
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_LEN.pack(len(header_bytes)))
-        fh.write(header_bytes)
-        fh.seek(off_sources)
-        fh.write(src.tobytes())
-        fh.truncate(total)
-
+    rows = (np.int32, (src.size, graph.num_nodes))
+    layout = {"sources": (np.int32, src.shape), "dist": rows}
+    if include_parents:
+        layout["parent"] = rows
     chunks = [
         (lo, src[lo : lo + chunk_sources].tolist())
         for lo in range(0, src.size, chunk_sources)
     ]
-    write_args = (
-        path,
-        graph.num_nodes,
-        off_dist,
-        off_parent,
-        include_parents,
-    )
-    if num_workers > 1 and len(chunks) > 1:
-        # Imported here: pool lives above the graph layer (it already
-        # imports repro.graph.core), so the build-time fan-out reaches
-        # up lazily instead of creating an import cycle.
-        from repro.experiments.pool import get_pool, shared_graphs
+    with segment.create(
+        layout,
+        generation=generation,
+        fingerprint=graph_fingerprint(graph),
+        meta={"kind": _KIND},
+        path=path,
+    ) as writer:
+        writer.arrays["sources"][:] = src
+        if num_workers > 1 and len(chunks) > 1:
+            # Imported here: pool lives above the graph layer (it already
+            # imports repro.graph.core), so the build-time fan-out reaches
+            # up lazily instead of creating an import cycle.
+            from repro.experiments.pool import get_pool, shared_graphs
 
-        executor = get_pool().ensure(num_workers)
-        shared_csr = shared_graphs().descriptor(graph)
-        futures = [
-            (
-                lo,
-                chunk,
-                executor.submit(
-                    _build_rows_task, shared_csr, *write_args, lo, chunk
-                ),
-            )
-            for lo, chunk in chunks
-        ]
-        for lo, chunk, future in futures:
-            try:
-                future.result()
-            except Exception as exc:
-                # A crashed worker costs its chunk, never the build —
-                # rows are a pure function of (graph, sources), so the
-                # inline recompute is bit-identical.
-                warnings.warn(
-                    f"distance-store worker failed on rows "
-                    f"[{lo}, {lo + len(chunk)}) ({exc!r}); recomputing "
-                    "inline",
-                    RuntimeWarning,
-                    stacklevel=2,
+            executor = get_pool().ensure(num_workers)
+            shared_csr = shared_graphs().descriptor(graph)
+            futures = [
+                (
+                    lo,
+                    chunk,
+                    executor.submit(
+                        _build_rows_task, shared_csr, writer.path, lo, chunk
+                    ),
                 )
-                _write_rows(graph, *write_args, lo, chunk)
-    else:
-        for lo, chunk in chunks:
-            _write_rows(graph, *write_args, lo, chunk)
+                for lo, chunk in chunks
+            ]
+            for lo, chunk, future in futures:
+                try:
+                    future.result()
+                except Exception as exc:
+                    # A crashed worker costs its chunk, never the build —
+                    # rows are a pure function of (graph, sources), so the
+                    # inline recompute is bit-identical.
+                    warnings.warn(
+                        f"distance-store worker failed on rows "
+                        f"[{lo}, {lo + len(chunk)}) ({exc!r}); recomputing "
+                        "inline",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    _write_rows(graph, writer.arrays, lo, chunk)
+        else:
+            for lo, chunk in chunks:
+                _write_rows(graph, writer.arrays, lo, chunk)
+        writer.commit()
 
     return attach_distance_store(path, expected_generation=int(generation))
 
 
 def attach_distance_store(
-    target: Union[str, DistanceStoreDescriptor],
+    target: Union[str, segment.Descriptor],
     *,
     expected_generation: Optional[int] = None,
     graph: Optional[Graph] = None,
@@ -519,84 +390,41 @@ def attach_distance_store(
     Parameters
     ----------
     target:
-        The file path, or a :class:`DistanceStoreDescriptor` (in which
-        case the descriptor's generation is enforced).
+        The file path, or a store's :attr:`DistanceStore.descriptor` (in
+        which case the descriptor's generation is enforced).
     expected_generation:
         When given, raise :class:`ValueError` unless the file header
         matches — the stale-generation guard for path-based attaches.
     graph:
         When given, verify node count and content fingerprint against
         the graph the rows were built from.
+
+    Also :class:`ValueError`: a file that is not a distance store, or
+    whose rows fail the per-row check (source at distance 0, parent
+    -1) — one entry per row, never a fault-in of the whole mapping.
     """
-    if isinstance(target, DistanceStoreDescriptor):
-        path = target.path
-        if expected_generation is None:
-            expected_generation = target.generation
-    else:
-        path = str(target)
-
-    with open(path, "rb") as fh:
-        mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     try:
-        try:
-            (header_len,) = _HEADER_LEN.unpack_from(mapping, 0)
-            header = json.loads(
-                mapping[
-                    _HEADER_LEN.size : _HEADER_LEN.size + header_len
-                ].decode("utf-8")
-            )
-        except (struct.error, UnicodeDecodeError, json.JSONDecodeError):
-            header = None
-        if (
-            not isinstance(header, dict)
-            or header.get("magic") != _MAGIC
-            or int(header.get("version", -1)) != _VERSION
-        ):
-            raise ValueError(
-                f"{path!r} is not a version-{_VERSION} distance store"
-            )
-        if (
-            expected_generation is not None
-            and int(header["generation"]) != int(expected_generation)
-        ):
-            raise ValueError(
-                f"distance store {path!r} holds generation "
-                f"{header['generation']}, expected {expected_generation}"
-            )
-        num_sources = int(header["num_sources"])
-        num_nodes = int(header["num_nodes"])
-        has_parents = bool(header["has_parents"])
-        off_sources, off_dist, off_parent, total = _layout(
-            header_len, num_sources, num_nodes, has_parents
-        )
-        header["nbytes"] = total
-        if mapping.size() != total:
-            raise ValueError(
-                f"distance store {path!r} is {mapping.size()} bytes, "
-                f"layout says {total}"
-            )
-        src = np.frombuffer(
-            mapping, dtype=np.int32, count=num_sources, offset=off_sources
-        )
-        dist = np.frombuffer(
-            mapping,
-            dtype=np.int32,
-            count=num_sources * num_nodes,
-            offset=off_dist,
-        ).reshape(num_sources, num_nodes)
-        parent = None
-        if has_parents:
-            parent = np.frombuffer(
-                mapping,
-                dtype=np.int32,
-                count=num_sources * num_nodes,
-                offset=off_parent,
-            ).reshape(num_sources, num_nodes)
-    except Exception:
-        mapping.close()
-        raise
-
-    store = DistanceStore(path, header, mapping, src, dist, parent)
+        attached = segment.attach(target, generation=expected_generation)
+        if attached.meta.get("kind") != _KIND:
+            raise ValueError("segment holds no distance rows")
+        _check_rows(attached.arrays)
+    except ValueError as exc:
+        raise ValueError(f"not a usable distance store: {exc}") from None
+    store = DistanceStore(attached)
     if graph is not None:
         store.check_graph(graph)
     return store
+
+
+def _check_rows(arrays: Dict[str, np.ndarray]) -> None:
+    """Per row, the source is at distance 0 and has no parent."""
+    src = arrays["sources"]
+    dist = arrays["dist"]
+    if src.size and (int(src.min()) < 0 or int(src.max()) >= dist.shape[1]):
+        raise ValueError("row sources are out of range")
+    rows = np.arange(src.size, dtype=np.int64)
+    if np.any(dist[rows, src] != 0):
+        raise ValueError("a row's source is not at distance 0")
+    parent = arrays.get("parent")
+    if parent is not None and np.any(parent[rows, src] != -1):
+        raise ValueError("a row's source has a parent")

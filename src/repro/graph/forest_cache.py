@@ -47,7 +47,6 @@ not manage its own; it holds at most :data:`DEFAULT_MAX_ENTRIES` forests
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -60,7 +59,6 @@ from repro.graph.paths import ShortestPathForest, bfs
 __all__ = [
     "ForestCache",
     "graph_fingerprint",
-    "prime_fingerprint",
     "default_forest_cache",
     "DEFAULT_MAX_ENTRIES",
 ]
@@ -98,53 +96,15 @@ _OBS_COALESCED = obs.counter(
     "Lookups that waited on another thread's in-flight BFS.",
 )
 
-# fingerprint memo: id(graph) -> (graph, hex digest).  Holding the graph
-# keeps the id stable; the dict is bounded to avoid pinning unbounded
-# numbers of dead topologies in memory.
-_FINGERPRINT_MEMO: "OrderedDict[int, Tuple[Graph, str]]" = OrderedDict()
-_FINGERPRINT_MEMO_MAX = 64
-_FINGERPRINT_LOCK = threading.Lock()
-
-
 def graph_fingerprint(graph: Graph) -> str:
     """Stable content fingerprint of ``graph`` (SHA-1 hex digest).
 
     Identical CSR content yields identical fingerprints across processes
     and sessions, which is what lets worker processes and repeated driver
-    runs share cache keys.
+    runs share cache keys.  Memoized on the graph itself
+    (:attr:`Graph.fingerprint`).
     """
-    with _FINGERPRINT_LOCK:
-        memo = _FINGERPRINT_MEMO.get(id(graph))
-        if memo is not None and memo[0] is graph:
-            _FINGERPRINT_MEMO.move_to_end(id(graph))
-            return memo[1]
-    digest = hashlib.sha1()
-    digest.update(int(graph.num_nodes).to_bytes(8, "little"))
-    digest.update(graph.indptr.tobytes())
-    digest.update(graph.indices.tobytes())
-    fingerprint = digest.hexdigest()
-    with _FINGERPRINT_LOCK:
-        _FINGERPRINT_MEMO[id(graph)] = (graph, fingerprint)
-        while len(_FINGERPRINT_MEMO) > _FINGERPRINT_MEMO_MAX:
-            _FINGERPRINT_MEMO.popitem(last=False)
-    return fingerprint
-
-
-def prime_fingerprint(graph: Graph, fingerprint: str) -> None:
-    """Seed the memo with a fingerprint computed elsewhere.
-
-    Shared-memory attachments (:meth:`repro.graph.core.Graph.from_shared`)
-    learn their content fingerprint from the descriptor, so the O(E)
-    hash need not be re-paid per worker attachment; priming the memo
-    makes the attached graph hit the same :class:`ForestCache` keys as
-    the graph it mirrors.  The caller vouches that ``fingerprint`` is
-    the digest :func:`graph_fingerprint` would compute.
-    """
-    with _FINGERPRINT_LOCK:
-        _FINGERPRINT_MEMO[id(graph)] = (graph, str(fingerprint))
-        _FINGERPRINT_MEMO.move_to_end(id(graph))
-        while len(_FINGERPRINT_MEMO) > _FINGERPRINT_MEMO_MAX:
-            _FINGERPRINT_MEMO.popitem(last=False)
+    return graph.fingerprint
 
 
 class ForestCache:

@@ -147,7 +147,7 @@ class FunctionSummary:
     is_async: bool
     calls: List[CallSite] = field(default_factory=list)
     blocking: List[BlockingCall] = field(default_factory=list)
-    #: Returns a ``.to_shared()`` result directly.
+    #: Returns a segment-handle source's result directly.
     returns_handle: bool = False
     #: Call targets whose results this function returns (for propagating
     #: "returns a shared handle" through wrappers).
@@ -406,11 +406,13 @@ def _bucket_repr(node: ast.AST) -> str:
     return "?"
 
 
-def _is_to_shared_call(node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    chain = _attr_chain(node.func)
-    return chain is not None and chain[-1] == "to_shared"
+def _is_handle_source(node: ast.AST, resolver: "_ModuleResolver") -> bool:
+    """A call returning a fresh :class:`repro.utils.segment.Handle`."""
+    chain = _attr_chain(node.func) if isinstance(node, ast.Call) else None
+    return chain is not None and (
+        chain[-1] in ("to_shared", "publish_tables")
+        or resolver.resolve(chain) == "repro.utils.segment.publish"
+    )
 
 
 def _metric_decl(
@@ -509,7 +511,7 @@ def _summarize_function(
                         ["return", value.id, value.lineno, value.col_offset, None]
                     )
                 return
-            if _is_to_shared_call(value):
+            if _is_handle_source(value, resolver):
                 summary.returns_handle = True
             else:
                 target = call_target(value)
@@ -535,7 +537,7 @@ def _summarize_function(
                 if not isinstance(target, ast.Name):
                     scan(target, in_finally)
             if single is not None:
-                if _is_to_shared_call(value):
+                if _is_handle_source(value, resolver):
                     candidates.add(single.id)
                     events.append(
                         ["create", single.id, node.lineno, node.col_offset, None]
@@ -879,7 +881,7 @@ class TransitiveBlockingRule(ProjectRule):
 
 @register_rule
 class SharedHandleLifetimeRule(ProjectRule):
-    """``to_shared()`` handles are released exactly once, by their owner."""
+    """Segment handles are released exactly once, by their owner."""
 
     rule_id = "RR012"
     severity = "error"
@@ -889,15 +891,16 @@ class SharedHandleLifetimeRule(ProjectRule):
         "exception safety"
     )
     rationale = (
-        "A Graph.to_shared() handle owns a POSIX shared-memory segment: "
-        "reading it after unlink() hands workers a name that no longer "
-        "resolves, pickling the handle itself through submit() ships "
-        "the wrong object (workers attach via the descriptor, which the "
-        "SharedGraphRegistry owns), and a handle that is neither "
-        "released nor handed off leaks the segment past process exit "
-        "intent.  The escape analysis follows handles through "
-        "wrapper functions project-wide (a helper that returns "
-        "to_shared() is itself a handle source) and trusts ownership "
+        "A repro.utils.segment handle — from Graph.to_shared(), "
+        "publish_tables() or segment.publish() — owns a shared-array "
+        "segment: reading it after unlink() hands workers a name that "
+        "no longer resolves, pickling the handle itself through "
+        "submit() ships the wrong object (workers attach via the "
+        "descriptor), and a handle that is neither released nor handed "
+        "off leaks the segment past process exit intent.  The escape "
+        "analysis follows handles through wrapper functions "
+        "project-wide (a helper that returns a handle source's result "
+        "is itself a handle source) and trusts ownership "
         "transfers — storing or returning a handle ends local "
         "responsibility — so every finding is a genuine lifetime bug."
     )
@@ -1032,7 +1035,7 @@ class SharedHandleLifetimeRule(ProjectRule):
                     kill[0],
                     kill[1],
                     f"unlink() of shared-memory handle {name!r} is not "
-                    "exception-safe: work happens between to_shared() and "
+                    "exception-safe: work happens between publishing and "
                     "the release — move the unlink into a finally block",
                 )
 

@@ -1093,7 +1093,7 @@ class ServiceAcrossSpawnRule(Rule):
     summary = (
         "a ServerApp or EstimationService crosses a process spawn "
         "boundary (Process(...) / submit()) — ship a FleetWorkerSpec or "
-        "TableStoreDescriptor and rebuild the service in-worker"
+        "table-store descriptor and rebuild the service in-worker"
     )
     rationale = (
         "A live service object is a bundle of process-local state: an "
@@ -1104,7 +1104,7 @@ class ServiceAcrossSpawnRule(Rule):
         "fresh object whose caches, tables, and counters no longer have "
         "anything to do with the parent's.  The fleet's contract is "
         "that only picklable *recipes* cross the boundary "
-        "(FleetWorkerSpec, ServiceConfig, TableStoreDescriptor) and "
+        "(FleetWorkerSpec, ServiceConfig, the table-store descriptor) and "
         "each worker constructs its own service from them.  Detection "
         "is deliberately narrow: names bound to EstimationService(...) "
         "or ServerApp(...) calls, direct constructor expressions, and "

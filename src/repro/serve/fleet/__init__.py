@@ -8,12 +8,7 @@ deadlines, and are restarted with seeded rate-limited backoff when they
 die.  See ``docs/fleet.md`` for the architecture and protocols.
 """
 
-from repro.serve.fleet.store import (
-    TableStoreDescriptor,
-    TableStoreHandle,
-    attach_tables,
-    publish_tables,
-)
+from repro.serve.fleet.store import attach_tables, publish_tables
 from repro.serve.fleet.supervisor import (
     FleetAdminService,
     FleetConfig,
@@ -31,8 +26,6 @@ __all__ = [
     "FleetConfig",
     "FleetSupervisor",
     "FleetWorkerSpec",
-    "TableStoreDescriptor",
-    "TableStoreHandle",
     "attach_tables",
     "fleet_worker_main",
     "publish_tables",

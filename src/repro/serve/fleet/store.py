@@ -4,24 +4,16 @@ The fleet's workers all serve the same :class:`EstimatorTable` grids,
 and those grids are by far the most expensive thing a serving process
 builds (a full Monte-Carlo sweep per topology).  The supervisor
 therefore builds each table set exactly once, serializes the grids into
-one ``multiprocessing.shared_memory`` segment with
-:func:`publish_tables`, and every worker attaches zero-copy views with
-:func:`attach_tables` — the same publish/attach protocol
-:meth:`repro.graph.core.Graph.to_shared` uses for CSR arrays, on the
-same :mod:`repro.utils.shm` lifecycle helpers.
+one shared-memory segment with :func:`publish_tables`, and every worker
+attaches zero-copy views with :func:`attach_tables`.
 
-Segment layout (all offsets 8-byte aligned)::
-
-    [u64 header_len][header JSON, utf-8][pad]
-    per table, in sorted key order:
-        sizes      int64[knots]
-        tree_size  float64[knots]
-        mean_path  float64[knots]
-
-The header JSON carries the store generation plus everything scalar
-about each table (key, name, mode, source, error bound, knot count), so
-a descriptor — segment name, generation, byte size — is all a worker
-needs to reconstruct the full table dict.
+The segment is a :mod:`repro.utils.segment` — the same layout, commit
+protocol, generation check and lifecycle as shared CSR graphs and the
+distance store.  Each table contributes three arrays (``<i>.sizes``,
+``<i>.tree_size``, ``<i>.mean_path``, in sorted key order); the header
+``meta`` carries everything scalar about each table (key, name, mode,
+source, error bound, algorithm), so a descriptor is all a worker needs
+to reconstruct the full table dict.
 
 Zero-downtime reload rides on POSIX unlink semantics: the supervisor
 publishes generation ``g+1`` as a *new* segment, tells workers to
@@ -32,87 +24,24 @@ last view dies; new attachments can only land on the new generation.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.serve.tables import EstimatorTable
-from repro.utils.shm import attach_segment, create_segment
+from repro.utils import segment
 
-__all__ = [
-    "TableStoreDescriptor",
-    "TableStoreHandle",
-    "attach_tables",
-    "publish_tables",
-]
+__all__ = ["attach_tables", "publish_tables"]
 
-_HEADER_LEN = struct.Struct("<Q")
-
-
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
-@dataclass(frozen=True)
-class TableStoreDescriptor:
-    """A picklable token naming one published table-store generation.
-
-    Like :class:`~repro.graph.core.SharedGraphDescriptor`, this is what
-    crosses the process boundary — a few dozen bytes however many knots
-    the grids hold; never the tables themselves.
-    """
-
-    name: str
-    generation: int
-    nbytes: int
-
-
-class TableStoreHandle:
-    """Creator-side ownership of one published table-store segment.
-
-    The supervisor must :meth:`release` each generation exactly once
-    when it retires (after every live worker has acked the swap to the
-    next one); attached workers never unlink.
-    """
-
-    __slots__ = ("_shm", "descriptor", "_unlinked")
-
-    def __init__(self, shm, descriptor: TableStoreDescriptor) -> None:
-        self._shm = shm
-        self.descriptor = descriptor
-        self._unlinked = False
-
-    def unlink(self) -> None:
-        """Free the segment system-wide (idempotent)."""
-        if not self._unlinked:
-            self._unlinked = True
-            self._shm.unlink()
-
-    def release(self) -> None:
-        """Unlink and drop this process's mapping, tolerating repeats."""
-        try:
-            self.unlink()
-        except FileNotFoundError:  # pragma: no cover - external unlink
-            pass
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - a live view pins the map
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"TableStoreHandle(name={self.descriptor.name!r}, "
-            f"generation={self.descriptor.generation}, "
-            f"nbytes={self.descriptor.nbytes}, unlinked={self._unlinked})"
-        )
+#: Each table's grids (stored as arrays ``<i>.<field>``) and its scalar
+#: fields (stored in the header ``meta``).
+_GRIDS = {"sizes": np.int64, "tree_size": np.float64, "mean_path": np.float64}
+_SCALARS = ("name", "mode", "source", "rel_error_bound", "algorithm")
 
 
 def publish_tables(
     tables: Dict[Tuple[str, ...], EstimatorTable], generation: int
-) -> TableStoreHandle:
+) -> segment.Handle:
     """Serialize a table set into one shared segment (one copy total).
 
     Keys are the service's table keys verbatim — ``(name, mode)`` for
@@ -120,86 +49,30 @@ def publish_tables(
     worker's attached dict mirrors the supervisor's exactly.
     """
     entries = []
-    arrays = []
-    for key, table in sorted(tables.items()):
-        entries.append(
-            {
-                "key": list(key),
-                "name": table.name,
-                "mode": table.mode,
-                "source": table.source,
-                "rel_error_bound": table.rel_error_bound,
-                "algorithm": table.algorithm,
-                "knots": int(table.sizes.size),
-            }
-        )
-        arrays.append(np.ascontiguousarray(table.sizes, dtype=np.int64))
-        arrays.append(np.ascontiguousarray(table.tree_size, dtype=np.float64))
-        arrays.append(np.ascontiguousarray(table.mean_path, dtype=np.float64))
-    header = json.dumps(
-        {"generation": int(generation), "tables": entries}, sort_keys=True
-    ).encode("utf-8")
-    offset = _align8(_HEADER_LEN.size + len(header))
-    total = offset + sum(arr.nbytes for arr in arrays)
-    shm = create_segment(total)
-    _HEADER_LEN.pack_into(shm.buf, 0, len(header))
-    shm.buf[_HEADER_LEN.size : _HEADER_LEN.size + len(header)] = header
-    for arr in arrays:
-        np.frombuffer(shm.buf, dtype=arr.dtype, count=arr.size, offset=offset)[
-            :
-        ] = arr
-        offset += arr.nbytes
-    descriptor = TableStoreDescriptor(
-        name=shm.name, generation=int(generation), nbytes=total
+    arrays = {}
+    for i, (key, table) in enumerate(sorted(tables.items())):
+        entries.append({"key": list(key), **{f: getattr(table, f) for f in _SCALARS}})
+        for field, dtype in _GRIDS.items():
+            arrays[f"{i}.{field}"] = np.asarray(getattr(table, field), dtype=dtype)
+    return segment.publish(
+        arrays, generation=generation, meta={"tables": entries}
     )
-    return TableStoreHandle(shm, descriptor)
 
 
 def attach_tables(
-    descriptor: TableStoreDescriptor,
+    descriptor: segment.Descriptor,
 ) -> Dict[Tuple[str, ...], EstimatorTable]:
     """Reconstruct the table dict as zero-copy, read-only views.
 
-    Each returned table pins the segment mapping for its own lifetime
-    (the ``SharedMemory`` object rides on the instance, the way an
-    attached ``Graph`` keeps ``graph._shm``), so the dict can be handed
-    to :meth:`EstimationService.install_tables` and forgotten — the
-    mapping survives the supervisor's unlink until the tables do.
+    The views pin the segment mapping for the tables' own lifetime, so
+    the dict can be handed to :meth:`EstimationService.install_tables`
+    and forgotten — the mapping survives the supervisor's unlink until
+    the tables do, and goes away with the last of them.
     """
-    shm = attach_segment(descriptor.name)
-    (header_len,) = _HEADER_LEN.unpack_from(shm.buf, 0)
-    header = json.loads(
-        bytes(shm.buf[_HEADER_LEN.size : _HEADER_LEN.size + header_len]).decode(
-            "utf-8"
-        )
-    )
-    if int(header["generation"]) != int(descriptor.generation):
-        raise ValueError(
-            f"segment {descriptor.name!r} holds generation "
-            f"{header['generation']}, descriptor says {descriptor.generation}"
-        )
-    offset = _align8(_HEADER_LEN.size + header_len)
-    tables: Dict[Tuple[str, ...], EstimatorTable] = {}
-    for entry in header["tables"]:
-        knots = int(entry["knots"])
-        views = []
-        for dtype in (np.int64, np.float64, np.float64):
-            view = np.frombuffer(shm.buf, dtype=dtype, count=knots, offset=offset)
-            view.flags.writeable = False
-            views.append(view)
-            offset += view.nbytes
-        sizes, tree, path = views
-        table = EstimatorTable(
-            name=entry["name"],
-            mode=entry["mode"],
-            sizes=sizes,
-            tree_size=tree,
-            mean_path=path,
-            source=entry["source"],
-            rel_error_bound=float(entry["rel_error_bound"]),
-            algorithm=str(entry.get("algorithm", "spt")),
-        )
-        # Pin the mapping to the table (frozen dataclass: go around).
-        object.__setattr__(table, "_store_shm", shm)
-        tables[tuple(entry["key"])] = table
+    attached = segment.attach(descriptor)
+    tables = {}
+    for i, entry in enumerate(attached.meta["tables"]):
+        grids = {field: attached.arrays[f"{i}.{field}"] for field in _GRIDS}
+        scalars = {field: entry[field] for field in _SCALARS}
+        tables[tuple(entry["key"])] = EstimatorTable(**scalars, **grids)
     return tables

@@ -37,8 +37,9 @@ from typing import Any, Optional, Tuple
 
 from repro import faults, obs
 from repro.serve.app import ServerApp
-from repro.serve.fleet.store import TableStoreDescriptor, attach_tables
+from repro.serve.fleet.store import attach_tables
 from repro.serve.handlers import EstimationService, ServiceConfig
+from repro.utils import segment
 
 __all__ = ["FleetWorkerSpec", "fleet_worker_main", "CRASH_EXIT_CODE"]
 
@@ -78,7 +79,7 @@ class FleetWorkerSpec:
     config: ServiceConfig
     host: str = "127.0.0.1"
     port: int = 0
-    store: Optional[TableStoreDescriptor] = None
+    store: Optional[segment.Descriptor] = None
     fault_plan: Optional[dict] = None
     drain_seconds: float = 5.0
 
@@ -118,9 +119,9 @@ async def _worker_async(spec: FleetWorkerSpec, listen_sock, conn) -> None:
     service = EstimationService(spec.config)
     if spec.store is not None:
         try:
-            service.install_tables(
-                attach_tables(spec.store), generation=spec.store.generation
-            )
+            # Off the loop: a segment attach maps bytes (lint RR011).
+            tables = await asyncio.to_thread(attach_tables, spec.store)
+            service.install_tables(tables, generation=spec.store.generation)
         except FileNotFoundError:
             # The spec's generation was reloaded away while we spawned.
             # Start anyway — table builds are seed-deterministic, so a
@@ -182,7 +183,7 @@ async def _worker_async(spec: FleetWorkerSpec, listen_sock, conn) -> None:
                         worker_id=spec.worker_id,
                         generation=descriptor.generation,
                     )
-                    tables = attach_tables(descriptor)
+                    tables = await asyncio.to_thread(attach_tables, descriptor)
                 except faults.WorkerCrash:
                     os._exit(CRASH_EXIT_CODE)
                 except Exception as exc:

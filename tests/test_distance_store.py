@@ -12,6 +12,7 @@ tables flow through the fleet's publish/attach path.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.exceptions import ExperimentError, GraphError
 from repro.experiments.config import MonteCarloConfig
 from repro.experiments.runner import measure_sweep
 from repro.graph.distance_store import (
-    DistanceStoreDescriptor,
     attach_distance_store,
     build_distance_store,
 )
@@ -119,15 +119,7 @@ class TestBuildAttachRoundtrip:
 class TestGenerationAndGraphGuards:
     def test_stale_generation_is_rejected(self, graph, tmp_path):
         store = _build(graph, tmp_path, sources=[0], generation=2)
-        stale = DistanceStoreDescriptor(
-            path=store.path,
-            generation=7,
-            num_nodes=store.num_nodes,
-            num_sources=store.num_sources,
-            has_parents=True,
-            fingerprint=store.fingerprint,
-            nbytes=store.descriptor.nbytes,
-        )
+        stale = dataclasses.replace(store.descriptor, generation=7)
         with pytest.raises(ValueError, match="generation"):
             attach_distance_store(stale)
         store.close()

@@ -10,16 +10,13 @@ cannot land on a retired generation).
 
 from __future__ import annotations
 
+import dataclasses
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.serve.fleet.store import (
-    TableStoreDescriptor,
-    attach_tables,
-    publish_tables,
-)
+from repro.serve.fleet.store import attach_tables, publish_tables
 from repro.serve.tables import EstimatorTable, log_spaced_sizes
 
 
@@ -98,11 +95,7 @@ class TestPublishAttachRoundtrip:
     def test_descriptor_generation_mismatch_is_rejected(self):
         handle = publish_tables(make_tables(), generation=2)
         try:
-            stale = TableStoreDescriptor(
-                name=handle.descriptor.name,
-                generation=7,
-                nbytes=handle.descriptor.nbytes,
-            )
+            stale = dataclasses.replace(handle.descriptor, generation=7)
             with pytest.raises(ValueError, match="generation"):
                 attach_tables(stale)
         finally:

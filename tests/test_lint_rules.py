@@ -126,6 +126,17 @@ class TestRuleFixtures:
         assert lint_file(FIXTURES / negative) == []
 
 
+def test_rr012_models_segment_and_table_store_handles():
+    # segment.publish() and publish_tables() return the same owner
+    # handle as Graph.to_shared(), so RR012 tracks all three.
+    positive = FIXTURES / "repro/experiments/rr012_segment_positive.py"
+    expected = expected_markers(positive)
+    assert expected and all("RR012" in ids for ids in expected.values())
+    assert findings_by_line(positive) == expected
+    negative = FIXTURES / "repro/experiments/rr012_segment_negative.py"
+    assert lint_file(negative) == []
+
+
 def test_rr003_is_gated_on_int32_declarations():
     # Bare np.arange is only a hazard in modules that actually declare
     # int32 scratch; a module without any must stay clean.
